@@ -48,8 +48,8 @@ object Table3Job {
 }
 
 /** Table 6 (one cell): speedups of SEQU/INDE/UniK over Lloyd on a dataset,
-  * run through the DISTRIBUTED SparkKMeans engine (mapPartitions kernels +
-  * reduceByKey refinement). Usage: Table6Job [dataset] [k] [partitions]
+  * run through the DISTRIBUTED SparkKMeans engine (one runJob per iteration,
+  * partials merged on the driver). Usage: Table6Job [dataset] [k] [partitions]
   */
 object Table6Job {
   def main(args: Array[String]): Unit = {

@@ -17,13 +17,13 @@ object ElkaKernel extends Strategy {
 /** Drift [Rysavy & Hamerly, SDM'16] — Elkan with a geometrically tightened
   * centroid-drift bound. We cap each drift by the cluster-radius bound
   * (the new centroid is a mean of points within `radius` of the old one, so
-  * `drift ≤ radius`), computed through an extra per-cluster norm-based code
-  * path; exactness is preserved and so is the paper's observed cost profile
-  * (extra bound bookkeeping, little gain — see DESIGN.md substitutions).
+  * `drift ≤ radius`); exactness is preserved and so is the paper's observed
+  * cost profile (extra bound bookkeeping, little gain — see DESIGN.md
+  * substitutions).
   */
 object DriftKernel extends Strategy {
   val name = "Drift"
-  val req: Req = Req(cc = true, radii = true, norms = true)
+  val req: Req = Req(cc = true, radii = true)
 
   def newState(points: Array[Array[Double]], k: Int, seed: Long): PartitionState =
     new ElkaState(points, k, tighterDrift = true)
@@ -76,14 +76,10 @@ final class ElkaState(points: Array[Array[Double]], k: Int, tighterDrift: Boolea
     val sc = info.sc
     val drifts = info.drifts
     // Drift variant: δ(j) = min(drift(j), radius(j)) — still an upper bound
-    // on how far c_j moved, computed via the norm path for the extra cost.
+    // on how far c_j moved.
     val delta =
       if (!tighterDrift) drifts
-      else Array.tabulate(k) { j =>
-        val r = info.radii(j)
-        val cap = if (info.norms(j) > 0) r * (info.norms(j) / info.norms(j)) else r
-        math.min(drifts(j), cap)
-      }
+      else Array.tabulate(k)(j => math.min(drifts(j), info.radii(j)))
 
     var i = 0
     while (i < n) {

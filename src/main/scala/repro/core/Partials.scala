@@ -1,8 +1,9 @@
 package repro.core
 
 /** Per-partition result of one assignment+refinement step: per-cluster sum
-  * vectors and counts (merged across partitions via `reduceByKey` in the
-  * Spark runner, or used directly by the local runner), plus bookkeeping.
+  * vectors and counts, plus bookkeeping. The local runner uses it directly;
+  * the Spark runner runs one `runJob` per iteration and merges the returned
+  * partials on the driver with `merge`.
   *
   * `maxUb(j)` is an upper bound on the radius of cluster j (max over member
   * points of their distance upper bound to the centroid they were just
@@ -21,9 +22,12 @@ final class Partials(
 
   def merge(o: Partials): Partials = {
     val k = sums.length
-    val s = Array.tabulate(k) { j =>
-      val v = sums(j).clone; Geometry.addTo(v, o.sums(j)); v
-    }
+    // A partition without points has no dimension to size its sums by, and
+    // adds nothing to them: the other side's sums are the merged ones.
+    val s =
+      if (o.n == 0) sums
+      else if (n == 0) o.sums
+      else Array.tabulate(k) { j => val v = sums(j).clone; Geometry.addTo(v, o.sums(j)); v }
     val c = Array.tabulate(k)(j => counts(j) + o.counts(j))
     val mu =
       if (maxUb == null || o.maxUb == null) null

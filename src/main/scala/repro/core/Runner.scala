@@ -32,11 +32,10 @@ final case class FitResult(
   }
 }
 
-/** Single-process driver loop: exactly what the Spark runner does, but with
-  * one in-memory partition. The kernels are identical — this is the
-  * "mapPartitions kernel" run on the whole dataset, which keeps the timed
-  * benches free of scheduler noise while `repro.spark.SparkKMeans` provides
-  * the distributed execution path.
+/** The driver loop shared by every execution path. `fitLocal` and
+  * `fitStates` run it over in-memory partition states, which keeps the timed
+  * benches free of scheduler noise; `repro.spark.SparkKMeans` runs the same
+  * loop over states cached in an RDD. The kernels are identical either way.
   */
 object Runner {
 
@@ -47,17 +46,27 @@ object Runner {
     fitStates(strategy, Seq(state), ps => ps.head.step(_: CentroidInfo), k, init, maxIters, seed)
   }
 
-  /** Generic driver over any collection of partition states with a supplied
-    * step+merge evaluator (the Spark runner passes a distributed one).
+  /** Driver over in-memory partition states with a supplied step+merge
+    * evaluator.
     */
   def fitStates(strategy: Strategy,
                 states: Seq[PartitionState],
                 mkStep: Seq[PartitionState] => CentroidInfo => Partials,
                 k: Int, init: Array[Array[Double]], maxIters: Int,
-                seed: Long): FitResult = {
+                seed: Long): FitResult =
+    drive(strategy, mkStep(states), cs => states.map(_.finalSse(cs)).sum, k, init, maxIters, seed)
+
+  /** The loop itself. `step` runs one iteration on every partition and
+    * returns the merged partials; `finalSse` scores the final centroids.
+    * Only the loop is timed, not the final SSE pass.
+    */
+  def drive(strategy: Strategy,
+            step: CentroidInfo => Partials,
+            finalSse: Array[Array[Double]] => Double,
+            k: Int, init: Array[Array[Double]], maxIters: Int,
+            seed: Long): FitResult = {
     require(init.length == k, s"init has ${init.length} centroids, expected $k")
     val req = strategy.req.normalized
-    val stepFn = mkStep(states)
 
     val grouper = if (req.groups) new Grouper(seed ^ 0x9e3779b97f4a7c15L) else null
     var centroids = Geometry.copy2(init)
@@ -77,7 +86,7 @@ object Runner {
     while (t <= maxIters && !converged) {
       val gi = if (grouper != null) grouper.update(centroids, t, req.regroup) else null
       val info = CentroidInfo.compute(t, centroids, prev, req, gi, radii)
-      val p = stepFn(info)
+      val p = step(info)
       assignNs += p.assignNanos; refineNs += p.refineNanos; moved += p.moved
       metrics = p.metrics
       if (t == 1) { metricsIter1 = p.metrics; nTotal = p.n }
@@ -97,9 +106,8 @@ object Runner {
       t += 1
     }
     val totalNanos = System.nanoTime() - t0
-    val sse = states.map(_.finalSse(centroids)).sum
 
     FitResult(strategy.name, k, centroids, t - 1, converged, metrics, metricsIter1,
-      assignNs.toArray, refineNs.toArray, moved.toArray, totalNanos, sse, nTotal)
+      assignNs.toArray, refineNs.toArray, moved.toArray, totalNanos, finalSse(centroids), nTotal)
   }
 }

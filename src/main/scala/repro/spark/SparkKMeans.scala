@@ -4,15 +4,15 @@ import org.apache.spark.rdd.RDD
 import org.apache.spark.sql.{DataFrame, Row, SparkSession}
 import org.apache.spark.storage.StorageLevel
 import repro.core._
+import scala.reflect.ClassTag
 
 /** Distributed execution of any registered kernel: points are partitioned
   * and cached once; each partition owns a kernel state (its slice of the
-  * data plus all per-point bounds / the per-partition ball-tree); every
-  * iteration ships the broadcast `CentroidInfo` to the states via a single
-  * `flatMap` whose output — `(clusterId, partial sum/count)` pairs plus one
-  * global stats record — is merged with `reduceByKey`. The driver then
-  * refines centroids, recomputes drifts/groups, and repeats: exactly the
-  * architecture described in the reproduction brief.
+  * data plus all per-point bounds / the per-partition ball-tree). The driver
+  * loop is `Runner.drive`, the same one the local runner uses: every
+  * iteration broadcasts the `CentroidInfo` and runs one `runJob` over the
+  * cached states, and the returned partials are merged on the driver in
+  * partition order, so no iteration shuffles and the merge is deterministic.
   *
   * Partition states are mutated across iterations inside the cached RDD;
   * with `local[*]` and MEMORY_ONLY storage this is the standard iterative-ML
@@ -20,33 +20,10 @@ import repro.core._
   */
 object SparkKMeans {
 
-  /** Aggregation value: either one cluster's partial or the global stats. */
-  private sealed trait Agg extends Serializable {
-    def merge(o: Agg): Agg
-  }
-  private final case class ClusterAgg(sum: Array[Double], count: Long, maxUb: Double) extends Agg {
-    def merge(o: Agg): Agg = {
-      val c = o.asInstanceOf[ClusterAgg]
-      val s = sum.clone(); Geometry.addTo(s, c.sum)
-      ClusterAgg(s, count + c.count, math.max(maxUb, c.maxUb))
-    }
-  }
-  private final case class GlobalAgg(moved: Long, n: Long, metrics: Metrics,
-                                     assignNanos: Long, refineNanos: Long) extends Agg {
-    def merge(o: Agg): Agg = {
-      val g = o.asInstanceOf[GlobalAgg]
-      val m = metrics.snapshot(); m.add(g.metrics)
-      GlobalAgg(moved + g.moved, n + g.n, m,
-        math.max(assignNanos, g.assignNanos), math.max(refineNanos, g.refineNanos))
-    }
-  }
-
   def fit(spark: SparkSession, points: RDD[Array[Double]], strategy: Strategy, k: Int,
           init: Array[Array[Double]], maxIters: Int = 10, numPartitions: Int = 4,
           seed: Long = 17L): FitResult = {
     val sc = spark.sparkContext
-    val req = strategy.req.normalized
-    val hasRadii = req.radii
     val bStrategy = sc.broadcast(strategy)
 
     val states = points
@@ -57,73 +34,17 @@ object SparkKMeans {
       .persist(StorageLevel.MEMORY_ONLY)
     states.count() // materialize before timing
 
-    val grouper = if (req.groups) new Grouper(seed ^ 0x9e3779b97f4a7c15L) else null
-    var centroids = Geometry.copy2(init)
-    var prev: Array[Array[Double]] = null
-    var radii: Array[Double] = null
-
-    val assignNs = new scala.collection.mutable.ArrayBuffer[Long]
-    val refineNs = new scala.collection.mutable.ArrayBuffer[Long]
-    val movedPer = new scala.collection.mutable.ArrayBuffer[Long]
-    var metrics = new Metrics
-    var metricsIter1 = new Metrics
-    var nTotal = 0L
-    var converged = false
-    val t0 = System.nanoTime()
-
-    var t = 1
-    while (t <= maxIters && !converged) {
-      val gi = if (grouper != null) grouper.update(centroids, t, req.regroup) else null
-      val info = CentroidInfo.compute(t, centroids, prev, req, gi, radii)
-      val bInfo = sc.broadcast(info)
-
-      val merged: Map[Int, Agg] = states
-        .flatMap { st =>
-          val p = st.step(bInfo.value)
-          val clusterIt = (0 until k).iterator.map { j =>
-            (j, ClusterAgg(p.sums(j), p.counts(j),
-              if (p.maxUb == null) 0.0 else p.maxUb(j)): Agg)
-          }
-          val globalIt = Iterator.single(
-            (-1, GlobalAgg(p.moved, p.n, p.metrics, p.assignNanos, p.refineNanos): Agg))
-          clusterIt ++ globalIt
-        }
-        .reduceByKey(_ merge _)
-        .collect()
-        .toMap
-
-      val g = merged(-1).asInstanceOf[GlobalAgg]
-      assignNs += g.assignNanos; refineNs += g.refineNanos; movedPer += g.moved
-      metrics = g.metrics
-      if (t == 1) { metricsIter1 = g.metrics; nTotal = g.n }
-      radii =
-        if (!hasRadii) null
-        else Array.tabulate(k)(j => merged(j).asInstanceOf[ClusterAgg].maxUb)
-
-      val next = Array.tabulate(k) { j =>
-        val ca = merged(j).asInstanceOf[ClusterAgg]
-        if (ca.count == 0) centroids(j).clone
-        else {
-          val v = ca.sum.clone()
-          var z = 0
-          while (z < v.length) { v(z) /= ca.count; z += 1 }
-          v
-        }
-      }
-      prev = centroids
-      centroids = next
-      if (g.moved == 0) converged = true
-      bInfo.destroy()
-      t += 1
+    // One job: `f` runs on every partition's state with `shared` broadcast;
+    // results come back in partition order.
+    def onStates[A: ClassTag, U: ClassTag](shared: A)(f: (PartitionState, A) => U): Array[U] = {
+      val b = sc.broadcast(shared)
+      try sc.runJob(states, (it: Iterator[PartitionState]) => f(it.next(), b.value))
+      finally b.destroy()
     }
-    val totalNanos = System.nanoTime() - t0
 
-    val bFinal = sc.broadcast(centroids)
-    val sse = states.map(_.finalSse(bFinal.value)).sum()
-    states.unpersist(blocking = true)
-
-    FitResult(strategy.name, k, centroids, t - 1, converged, metrics, metricsIter1,
-      assignNs.toArray, refineNs.toArray, movedPer.toArray, totalNanos, sse, nTotal)
+    try Runner.drive(strategy, info => onStates(info)(_ step _).reduceLeft(_ merge _),
+      cs => onStates(cs)(_ finalSse _).sum, k, init, maxIters, seed)
+    finally states.unpersist(blocking = true)
   }
 
   /** DataFrame → RDD[Array[Double]] for a `features: array<double>` column. */
