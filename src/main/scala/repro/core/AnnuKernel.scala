@@ -24,23 +24,24 @@ final class AnnuState(points: Array[Array[Double]], k: Int)
 
   override protected def ubOf(i: Int): Double = ub(i)
 
+  override protected def seedAll(info: CentroidInfo): Unit = {
+    var i = 0
+    while (i < n) { fullScan(i, points(i), info.centroids); i += 1 }
+  }
+
   protected def assignAll(info: CentroidInfo): Unit = {
     val cs = info.centroids
     var i = 0
     while (i < n) {
       val x = points(i)
-      if (info.iter == 1) {
-        fullScan(i, x, cs)
-      } else {
-        val a = assign(i)
-        ub(i) += info.drifts(a)
-        lb(i) -= info.maxDriftOther(a)
-        m.boundUpdate += 2; m.boundAccess += 2
-        val thr = math.max(lb(i), info.sc(a))
-        if (thr < ub(i)) {
-          ub(i) = cdist(x, cs(a))
-          if (thr < ub(i)) annularScan(i, x, info)
-        }
+      val a = assign(i)
+      ub(i) += info.drifts(a)
+      lb(i) -= info.maxDriftOther(a)
+      m.boundUpdate += 2; m.boundAccess += 2
+      val thr = math.max(lb(i), info.sc(a))
+      if (thr < ub(i)) {
+        ub(i) = cdist(x, cs(a))
+        if (thr < ub(i)) annularScan(i, x, info)
       }
       i += 1
     }

@@ -40,9 +40,13 @@ final class GroupInfo(
 
 /** Everything the assignment step needs about this iteration's centroids.
   * Immutable; broadcast to partitions by the Spark runner.
+  *
+  * @param iter the 1-based driver iteration, for logs and traces only. No
+  *             kernel or state reads it: a state rebuilt mid-run takes its
+  *             first step at a later iteration, so each state tracks its own.
   */
 final class CentroidInfo(
-    val iter: Int, // 1-based; iter 1 has zero drifts and fresh bound state
+    val iter: Int,
     val centroids: Array[Array[Double]],
     val drifts: Array[Double],
     val maxDrift: Double,
@@ -195,6 +199,7 @@ object CentroidInfo {
   * into t = ⌈k/10⌉ groups by a small k-means over the centroids (as in the
   * Yinyang paper's first iteration); Regroup refreshes the grouping every
   * iteration and reports the old→new overlap for conservative bound remap.
+  * One Grouper serves one fit: its first `update` builds the groups.
   */
 final class Grouper(seed: Long) {
   private var current: GroupInfo = null
@@ -202,7 +207,7 @@ final class Grouper(seed: Long) {
 
   def nGroupsFor(k: Int): Int = math.max(1, math.ceil(k / 10.0).toInt)
 
-  def update(centroids: Array[Array[Double]], iter: Int, regroup: Boolean): GroupInfo = {
+  def update(centroids: Array[Array[Double]], regroup: Boolean): GroupInfo = {
     val k = centroids.length
     val t = nGroupsFor(k)
     if (current == null) {
@@ -210,7 +215,7 @@ final class Grouper(seed: Long) {
       val (of, centers) = Grouper.miniKMeans(centroids, init, 5)
       groupCenters = centers
       current = Grouper.buildInfo(of, t, null)
-    } else if (regroup && iter > 1) {
+    } else if (regroup) {
       val oldOf = current.of
       val (of, centers) = Grouper.miniKMeans(centroids, groupCenters, 2)
       groupCenters = centers

@@ -20,25 +20,25 @@ final class HameState(points: Array[Array[Double]], k: Int)
 
   override protected def ubOf(i: Int): Double = ub(i)
 
+  override protected def seedAll(info: CentroidInfo): Unit = {
+    var i = 0
+    while (i < n) { fullScan(i, points(i), info.centroids); i += 1 }
+  }
+
   protected def assignAll(info: CentroidInfo): Unit = {
     val cs = info.centroids
-    val first = info.iter == 1
     var i = 0
     while (i < n) {
       val x = points(i)
-      if (first) {
-        fullScan(i, x, cs)
-      } else {
-        val a = assign(i)
-        ub(i) += info.drifts(a)
-        lb(i) -= info.maxDriftOther(a)
-        m.boundUpdate += 2
-        m.boundAccess += 2
-        val thr = math.max(lb(i), info.sc(a))
-        if (thr < ub(i)) {
-          ub(i) = cdist(x, cs(a)) // tighten
-          if (thr < ub(i)) fullScan(i, x, cs)
-        }
+      val a = assign(i)
+      ub(i) += info.drifts(a)
+      lb(i) -= info.maxDriftOther(a)
+      m.boundUpdate += 2
+      m.boundAccess += 2
+      val thr = math.max(lb(i), info.sc(a))
+      if (thr < ub(i)) {
+        ub(i) = cdist(x, cs(a)) // tighten
+        if (thr < ub(i)) fullScan(i, x, cs)
       }
       i += 1
     }

@@ -84,7 +84,7 @@ object Runner {
     val t0 = System.nanoTime()
     var t = 1
     while (t <= maxIters && !converged) {
-      val gi = if (grouper != null) grouper.update(centroids, t, req.regroup) else null
+      val gi = if (grouper != null) grouper.update(centroids, req.regroup) else null
       val info = CentroidInfo.compute(t, centroids, prev, req, gi, radii)
       val p = step(info)
       assignNs += p.assignNanos; refineNs += p.refineNanos; moved += p.moved

@@ -6,17 +6,35 @@ import scala.collection.mutable.ArrayBuffer
   * bound state, and (for index methods) the per-partition tree. Lives for
   * the whole run; `step` is called once per iteration with the broadcast
   * centroid-side state and returns this partition's partial aggregates.
+  *
+  * Spark may rebuild a state from its points in the middle of a run (an
+  * evicted or retried partition). A state therefore decides from its own
+  * history, never from the driver's iteration number, whether its bounds
+  * exist yet: its first step is a cold one at whatever iteration it falls.
   */
-trait PartitionState extends Serializable {
+abstract class PartitionState(val points: Array[Array[Double]], val k: Int)
+    extends Serializable {
+
+  final val n: Int = points.length
+  final val d: Int = if (n == 0) 0 else points(0).length
+  /** Cluster of each point; -1 until this state's first step. */
+  protected final val assign: Array[Int] = Array.fill(n)(-1)
+  final val m = new Metrics
+
   def step(info: CentroidInfo): Partials
 
   /** Exact SSE of this partition under the final centroids (untimed,
     * uncounted — a verification pass, not part of the algorithm).
     */
-  def finalSse(centroids: Array[Array[Double]]): Double
+  def finalSse(centroids: Array[Array[Double]]): Double = {
+    var s = 0.0
+    var i = 0
+    while (i < n) { s += Geometry.distSq(points(i), centroids(assign(i))); i += 1 }
+    s
+  }
 
   /** Current assignment vector (for exactness tests). */
-  def assignments: Array[Int]
+  def assignments: Array[Int] = assign.clone()
 }
 
 /** Factory for per-partition states; the only thing shipped to executors. */
@@ -30,17 +48,14 @@ trait Strategy extends Serializable {
   * assignment bookkeeping, incremental ("sum vector") or full-rescan
   * refinement, mover tracking, per-phase timing, metric snapshots.
   *
-  * Subclasses implement `assignAll` and call `reassign(i, j)` for every
-  * point each iteration (also when j is unchanged — reassign only records
-  * a move when the cluster actually changes).
+  * The first step of this object calls `seedAll`, which builds the kernel's
+  * bounds from scratch; every later step calls `assignAll`, which
+  * drift-updates and tests them. Both call `reassign(i, j)` for every point
+  * (also when j is unchanged — reassign only records a move when the
+  * cluster actually changes).
   */
-abstract class SequentialState(val points: Array[Array[Double]], val k: Int)
-    extends PartitionState {
-
-  final val n: Int = points.length
-  final val d: Int = if (n == 0) 0 else points(0).length
-  final val assign: Array[Int] = Array.fill(n)(-1)
-  final val m = new Metrics
+abstract class SequentialState(points: Array[Array[Double]], k: Int)
+    extends PartitionState(points, k) {
 
   /** Lloyd sets this false: refinement rescans every point. */
   protected def incrementalRefine: Boolean = true
@@ -49,7 +64,7 @@ abstract class SequentialState(val points: Array[Array[Double]], val k: Int)
   protected def reportRadii: Boolean = false
 
   /** Distance upper bound of point i to its assigned centroid (only needed
-    * when `reportRadii`; must be valid after `assignAll`).
+    * when `reportRadii`; must be valid after every step).
     */
   protected def ubOf(i: Int): Double = 0.0
 
@@ -58,7 +73,14 @@ abstract class SequentialState(val points: Array[Array[Double]], val k: Int)
 
   private val moverIdx = new ArrayBuffer[Int]
   private val moverFrom = new ArrayBuffer[Int]
+  private var seeded = false
 
+  /** Cold step: no bounds exist yet and every point is unassigned. Kernels
+    * that keep no bounds inherit the default.
+    */
+  protected def seedAll(info: CentroidInfo): Unit = assignAll(info)
+
+  /** Warm step: every point has a cluster and the bounds of the last step. */
   protected def assignAll(info: CentroidInfo): Unit
 
   /** Counted distance from a data point to a centroid. */
@@ -75,7 +97,7 @@ abstract class SequentialState(val points: Array[Array[Double]], val k: Int)
   def step(info: CentroidInfo): Partials = {
     moverIdx.clear(); moverFrom.clear()
     val t0 = System.nanoTime()
-    assignAll(info)
+    if (seeded) assignAll(info) else { seedAll(info); seeded = true }
     val t1 = System.nanoTime()
     refine()
     val t2 = System.nanoTime()
@@ -121,13 +143,4 @@ abstract class SequentialState(val points: Array[Array[Double]], val k: Int)
       }
     }
   }
-
-  def finalSse(centroids: Array[Array[Double]]): Double = {
-    var s = 0.0
-    var i = 0
-    while (i < n) { s += Geometry.distSq(points(i), centroids(assign(i))); i += 1 }
-    s
-  }
-
-  def assignments: Array[Int] = assign.clone()
 }

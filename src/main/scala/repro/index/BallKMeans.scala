@@ -23,11 +23,7 @@ object BallKMeansStrategy {
 }
 
 final class BallKMeansState(points: Array[Array[Double]], k: Int, val tree: BallTree)
-    extends PartitionState {
-  private val n = points.length
-  private val d = if (n == 0) 0 else points(0).length
-  private val assign = Array.fill(n)(-1)
-  val m = new Metrics
+    extends PartitionState(points, k) {
   private var moved = 0L
 
   def step(info: CentroidInfo): Partials = {
@@ -98,12 +94,4 @@ final class BallKMeansState(points: Array[Array[Double]], k: Int, val tree: Ball
     val t1 = System.nanoTime()
     new Partials(sums, counts, null, moved, n.toLong, m.snapshot(), t1 - t0, 0L)
   }
-
-  def finalSse(centroids: Array[Array[Double]]): Double = {
-    var s = 0.0; var i = 0
-    while (i < n) { s += Geometry.distSq(points(i), centroids(assign(i))); i += 1 }
-    s
-  }
-
-  def assignments: Array[Int] = assign.clone()
 }

@@ -14,8 +14,10 @@ import repro.index.{BallNode, BallTree}
   *
   * Traversal knobs (Section 5.3): `Multiple` re-enters the tree from the
   * root every iteration; `Single` keeps the surviving objects in their
-  * clusters and drift-updates their bounds; `Adaptive` times iteration 1
-  * (root) against iteration 2 (clusters) and keeps the winner.
+  * clusters and drift-updates their bounds; `Adaptive` times its own first
+  * two steps, the root pass that seeds its bounds against the first cluster
+  * pass, and keeps the winner. A state rebuilt mid-run starts over with a
+  * root pass, whatever the driver's iteration.
   */
 sealed trait UniKMode
 object UniKMode {
@@ -43,18 +45,13 @@ object UniKStrategy {
 
 final class UniKState(points: Array[Array[Double]], k: Int, val tree: BallTree,
                       mode: UniKMode)
-    extends PartitionState {
+    extends PartitionState(points, k) {
 
-  private val n = points.length
-  private val d = if (n == 0) 0 else points(0).length
-  private val assign = Array.fill(n)(-1)
-  val m = new Metrics
-
-  private var t = 0 // #groups, fixed after iteration 1
+  private var steps = 0 // completed steps of this object; 0 = no bounds yet
+  private var t = 0 // #groups, fixed on the first step
   // Persistent bounds, indexed by node id / point index.
   private var nodeUb: Array[Double] = null
   private var nodeGlb: Array[Double] = null  // nodeCount × t
-  private var nodeCluster: Array[Int] = null // -1: not a tracked object
   private var ptUb: Array[Double] = null
   private var ptGlb: Array[Double] = null    // n × t
   private val nodesById = new Array[BallNode](math.max(1, tree.nodeCount))
@@ -79,8 +76,7 @@ final class UniKState(points: Array[Array[Double]], k: Int, val tree: BallTree,
   private val opTo = new scala.collection.mutable.ArrayBuffer[Int]
   private val opPoint = new scala.collection.mutable.ArrayBuffer[Boolean]
 
-  private var iter1Nanos = -1L
-  private var iter2Nanos = -1L
+  private var rootNanos = -1L // assignment time of the first (root) step
   private var chosenSingle = true
 
   // scratch
@@ -90,11 +86,10 @@ final class UniKState(points: Array[Array[Double]], k: Int, val tree: BallTree,
   private var gScanned: Array[Boolean] = null
 
   def step(info: CentroidInfo): Partials = {
-    if (t == 0) {
+    if (steps == 0) {
       t = info.groups.nGroups
       nodeUb = new Array[Double](tree.nodeCount)
       nodeGlb = new Array[Double](tree.nodeCount * t)
-      nodeCluster = Array.fill(tree.nodeCount)(-1)
       ptUb = new Array[Double](n)
       ptGlb = new Array[Double](n * t)
       lists = Array.fill(k)(new scala.collection.mutable.ArrayBuffer[Int])
@@ -104,15 +99,14 @@ final class UniKState(points: Array[Array[Double]], k: Int, val tree: BallTree,
     moved = 0
     opVec.clear(); opNum.clear(); opFrom.clear(); opTo.clear(); opPoint.clear()
 
-    val useRoot = info.iter match {
-      case 1 => true
-      case 2 => mode == UniKMode.Multiple
+    val useRoot = steps match {
+      case 0 => true
+      case 1 => mode == UniKMode.Multiple
       case _ =>
         mode match {
           case UniKMode.Multiple => true
           case UniKMode.Single   => false
-          case UniKMode.Adaptive =>
-            if (iter2Nanos >= 0) !chosenSingle else false
+          case UniKMode.Adaptive => !chosenSingle
         }
     }
 
@@ -122,23 +116,21 @@ final class UniKState(points: Array[Array[Double]], k: Int, val tree: BallTree,
     if (!useRoot) applyOps() // incremental refinement
     val t2 = System.nanoTime()
 
-    if (info.iter == 1) iter1Nanos = t1 - t0
-    if (info.iter == 2 && mode == UniKMode.Adaptive) {
-      iter2Nanos = t1 - t0
-      chosenSingle = iter2Nanos <= iter1Nanos
-    }
+    if (steps == 0) rootNanos = t1 - t0
+    else if (steps == 1 && mode == UniKMode.Adaptive) chosenSingle = t1 - t0 <= rootNanos
+    steps += 1
 
     new Partials(Geometry.copy2(sums), counts.clone(), null, moved, n.toLong,
       m.snapshot(), t1 - t0, t2 - t1)
   }
 
   // ------------------------------------------------------------------
-  // Root traversal: candidate filtering + (on iteration 1) bound seeding.
+  // Root traversal: candidate filtering + (on the first step) bound seeding.
   // ------------------------------------------------------------------
   private def rootTraversal(info: CentroidInfo): Unit = {
     val cs = info.centroids
     val gi = info.groups
-    val seed = info.iter == 1 // bounds/lists only needed before a cluster pass
+    val seed = steps == 0 // bounds/lists only needed before a cluster pass
     var j = 0
     while (j < k) {
       java.util.Arrays.fill(sums(j), 0.0); counts(j) = 0
@@ -173,7 +165,6 @@ final class UniKState(points: Array[Array[Double]], k: Int, val tree: BallTree,
         if (seed) {
           nodeUb(nd.id) = d1
           seedGroupBounds(nodeGlb, nd.id * t, cand, dBuf, carry, best, gi)
-          nodeCluster(nd.id) = best
           lists(best) += (nd.id + 1)
         }
         return
@@ -371,7 +362,6 @@ final class UniKState(points: Array[Array[Double]], k: Int, val tree: BallTree,
 
     if (isNode && d2 - d1 < 2.0 * r) {
       // Eq. 9 failed: split the node, children inherit bounds via ψ (Eq. 12)
-      nodeCluster(nd.id) = -1
       pushOp(nd.sv, nd.num, cl, -1, isPoint = false) // remove node sv from cl
       if (nd.isLeaf) {
         var z = nd.start
@@ -393,7 +383,6 @@ final class UniKState(points: Array[Array[Double]], k: Int, val tree: BallTree,
           var g3 = 0
           while (g3 < t) { nodeGlb(child.id * t + g3) = bounds(base + g3) - child.psi; g3 += 1 }
           m.boundUpdate += t + 1
-          nodeCluster(child.id) = cl
           pushOp(child.sv, child.num, -1, cl, isPoint = false)
           stack += (child.id + 1)
         }
@@ -408,7 +397,6 @@ final class UniKState(points: Array[Array[Double]], k: Int, val tree: BallTree,
       if (isNode) {
         pushOp(nd.sv, nd.num, cl, best, isPoint = false)
         bulkAssign(nd, best)
-        nodeCluster(nd.id) = best
       } else {
         pushOp(points(pi), 1, cl, best, isPoint = true)
         if (assign(pi) != best) { assign(pi) = best; moved += 1 }
@@ -460,12 +448,4 @@ final class UniKState(points: Array[Array[Double]], k: Int, val tree: BallTree,
       z += 1
     }
   }
-
-  def finalSse(centroids: Array[Array[Double]]): Double = {
-    var s = 0.0; var i = 0
-    while (i < n) { s += Geometry.distSq(points(i), centroids(assign(i))); i += 1 }
-    s
-  }
-
-  def assignments: Array[Int] = assign.clone()
 }

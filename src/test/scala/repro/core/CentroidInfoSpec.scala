@@ -10,7 +10,7 @@ class CentroidInfoSpec extends AnyFunSuite {
 
   private def info(req: Req, p: Array[Array[Double]] = prev,
                    radii: Array[Double] = null): CentroidInfo = {
-    val gi = if (req.normalized.groups) new Grouper(1L).update(cs, 1, regroup = false) else null
+    val gi = if (req.normalized.groups) new Grouper(1L).update(cs, regroup = false) else null
     CentroidInfo.compute(2, cs, p, req, gi, radii)
   }
 
